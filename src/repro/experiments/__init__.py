@@ -11,7 +11,10 @@ comparison a first-class, runnable artifact:
 * :mod:`repro.experiments.trials` — the unit of work: one seeded
   (scenario, placer, trial) cell, picklable and JSON-serialisable;
 * :mod:`repro.experiments.backends` — pluggable execution backends
-  (``inline``, ``process``, ``subprocess-pool``) behind a registry;
+  behind a registry: ``inline`` (the deterministic single-process
+  reference) and ``remote`` (a lease-based, fault-tolerant worker fabric);
+* :mod:`repro.experiments.worker` — the ``remote`` backend's long-running
+  HTTP worker;
 * :mod:`repro.experiments.cache` — the persistent content-addressed
   result store, keyed by (scenario, params, placer, trial, seed,
   code_version);

@@ -1,59 +1,45 @@
 """Pluggable execution backends for experiment sweeps.
 
-The runner used to hard-code its execution strategy (run inline, or fan out
-over a ``ProcessPoolExecutor``).  This module turns that strategy into a
-seam: an :class:`ExecutionBackend` maps :class:`~repro.experiments.trials.WorkItem`
-batches to :class:`~repro.experiments.results.TrialRecord` lists, and
-backends are registered by name so configs, the CLI, and result files can
-address them as data.
+An :class:`ExecutionBackend` maps :class:`~repro.experiments.trials.WorkItem`
+batches to :class:`~repro.experiments.results.TrialRecord` lists; backends
+are registered by name so configs, the CLI, and result files can address
+them as data.
 
-Four backends ship in-tree:
+Two backends ship in-tree:
 
-* ``inline`` — run every trial in the current process (deterministic
-  debugging default);
-* ``process`` — fan out over a ``ProcessPoolExecutor`` (the strategy
-  formerly hard-coded in the runner);
-* ``subprocess-pool`` — split the batch into chunks and spawn one fresh
-  ``python -m repro.experiments.backends`` worker process per chunk,
-  exchanging JSON files.  Nothing in the protocol assumes a shared
-  interpreter (or even a shared machine): the worker reads named work items
-  and writes plain-JSON records;
+* ``inline`` — run every trial in the current process, one after another:
+  the deterministic reference every other execution is checked against;
 * ``remote`` — lease chunks to long-running HTTP workers
-  (:mod:`repro.experiments.worker`), potentially on other machines, all
-  populating one shared :class:`~repro.experiments.cache.ResultStore`.
+  (:mod:`repro.experiments.worker`), either a localhost pool it spawns
+  itself or endpoints on other machines, all populating one shared
+  :class:`~repro.experiments.cache.ResultStore`.
 
-The subprocess pool and the remote fabric are the backends whose workers
-can *die* (crash, OOM-kill, network partition), so they carry the fault
-tolerance: workers stream records as JSON Lines — one line per completed
-trial, flushed — and the parent salvages whatever a dead or hung worker
-managed to finish, then retries only the missing trials in a fresh wave.
-Hung subprocess workers are detected with a per-chunk timeout and killed;
-hung remote workers miss their lease's heartbeat deadline and lose the
-lease.  Because every trial is a deterministic function of its work item,
-a record salvaged from a crashed worker is bit-identical to one from a
-healthy worker, and a sweep that loses workers mid-flight still produces
-the exact result a clean run would.
+The remote fabric's workers can *die* (crash, OOM-kill, network
+partition), so it carries the fault tolerance: workers stream records as
+JSON Lines — one line per completed trial, flushed — and the scheduler
+salvages whatever a dead or hung worker managed to finish, then retries
+only the missing trials in a fresh wave.  Hung workers miss their lease's
+heartbeat deadline and lose the lease.  Because every trial is a
+deterministic function of its work item, a record salvaged from a crashed
+worker is bit-identical to one from a healthy worker, and a sweep that
+loses workers mid-flight still produces the exact result a clean run
+would.
 
 Every backend must return records in the order of its input items, and a
 backend given the same items must produce the same records (modulo host
-wall-clock timings) — the equivalence tests hold all of them to that.
+wall-clock timings) — the equivalence tests hold both to that.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 import os
 import random
 import subprocess
-import sys
-import tempfile
 import threading
 import time
-from concurrent import futures
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
@@ -68,7 +54,7 @@ from typing import (
 from repro import obs
 from repro.errors import ExperimentError
 from repro.experiments.results import TrialRecord
-from repro.experiments.trials import WorkItem, execute_work_item
+from repro.experiments.trials import WorkItem
 
 logger = logging.getLogger("repro.experiments.fabric")
 
@@ -85,36 +71,19 @@ _FABRIC_DEAD = obs.Counter("repro.fabric.workers_presumed_dead")
 _FABRIC_HUNG = obs.Counter("repro.fabric.leases_hung")
 _FABRIC_IDLE = obs.Gauge("repro.fabric.max_worker_idle_fraction")
 
-#: Wire-format schema the subprocess worker speaks.  v2 replaced the single
-#: output JSON document with JSON Lines (header, then one record per line,
-#: flushed as produced) so a killed worker leaves a salvageable prefix.
-WORKER_SCHEMA = "repro.experiments/worker/v2"
-
-DEFAULT_BACKEND = "inline"
-
-#: Default number of retry waves the subprocess pool runs for trials whose
+#: Default number of retry waves the remote backend runs for trials whose
 #: worker died, beyond the initial wave.
 DEFAULT_MAX_RETRIES = 2
 
-#: Environment variables of the worker chaos hook (test-only): when both
-#: are set, workers that win the marker-file race in
-#: ``REPRO_WORKER_CHAOS_DIR`` misbehave per ``REPRO_WORKER_CHAOS_MODE``
-#: (``crash``: exit hard after the first record; ``hang``: sleep forever
-#: after the first record; ``slow``: drag every subsequent trial by
-#: :data:`CHAOS_SLOW_S`).  The mode may be a comma-separated list — e.g.
-#: ``crash,hang`` arms one worker per mode, in order — and each mode fires
-#: exactly once per chaos dir, so chaos tests are deterministic in *what*
-#: is lost even though process scheduling is not.
-CHAOS_DIR_ENV = "REPRO_WORKER_CHAOS_DIR"
-CHAOS_MODE_ENV = "REPRO_WORKER_CHAOS_MODE"
-
-#: Exit status of a chaos-crashed worker (distinct from argparse's 2).
-CHAOS_EXIT_STATUS = 17
-
-#: Per-trial drag of a chaos-slowed worker (straggler injection).
-CHAOS_SLOW_S = 0.4
-
-_CHAOS_MODES = ("crash", "hang", "slow")
+#: Backends that no longer exist, with what to use instead: configs and
+#: command lines naming them fail with this advice, not a bare "unknown".
+_REMOVED_BACKENDS = {
+    "process": "use 'remote' for parallel workers (it spawns a localhost "
+    "pool by default) or 'inline' for a single process",
+    "subprocess-pool": "use 'remote', which salvages and retries work from "
+    "crashed or hung workers (it spawns a localhost pool by default), or "
+    "'inline' for a single process",
+}
 
 
 @runtime_checkable
@@ -163,6 +132,10 @@ def get_backend(name: str) -> BackendSpec:
     try:
         return _BACKENDS[name]
     except KeyError as exc:
+        if name in _REMOVED_BACKENDS:
+            raise ExperimentError(
+                f"backend {name!r} was removed; {_REMOVED_BACKENDS[name]}"
+            ) from exc
         raise ExperimentError(
             f"unknown backend {name!r}; registered: {backend_names()}"
         ) from exc
@@ -204,254 +177,10 @@ class InlineBackend:
     name = "inline"
 
     def submit(self, item: WorkItem) -> TrialRecord:
-        return execute_work_item(item)
+        return item.run()
 
     def map_trials(self, items: Sequence[WorkItem]) -> List[TrialRecord]:
-        return [execute_work_item(item) for item in items]
-
-
-# ---------------------------------------------------------------------------
-# process
-# ---------------------------------------------------------------------------
-class ProcessPoolBackend:
-    """Fan trials out over a ``concurrent.futures.ProcessPoolExecutor``."""
-
-    name = "process"
-
-    def __init__(self, workers: Optional[int] = None):
-        self.workers = workers
-
-    def submit(self, item: WorkItem) -> TrialRecord:
-        return self.map_trials([item])[0]
-
-    def map_trials(self, items: Sequence[WorkItem]) -> List[TrialRecord]:
-        if not items:
-            return []
-        workers = _resolve_workers(self.workers, len(items))
-        if workers == 1:
-            return InlineBackend().map_trials(items)
-        records: List[Optional[TrialRecord]] = [None] * len(items)
-        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            pending = {
-                pool.submit(execute_work_item, item): index
-                for index, item in enumerate(items)
-            }
-            for future in futures.as_completed(pending):
-                records[pending[future]] = future.result()
-        return records  # type: ignore[return-value]
-
-
-# ---------------------------------------------------------------------------
-# subprocess-pool
-# ---------------------------------------------------------------------------
-def _worker_env() -> Dict[str, str]:
-    """Child env with the parent's ``repro`` package importable.
-
-    Test runs import ``repro`` from a source checkout via ``sys.path`` (not
-    the environment), so the parent's import location is prepended to the
-    child's ``PYTHONPATH`` explicitly.
-    """
-    import repro
-
-    package_root = str(Path(repro.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = (
-        package_root if not existing else package_root + os.pathsep + existing
-    )
-    return env
-
-
-def _split_chunks(items: Sequence, n_chunks: int) -> List[List[int]]:
-    """Round-robin item indices into ``n_chunks`` non-empty chunks."""
-    chunks: List[List[int]] = [[] for _ in range(min(n_chunks, len(items)))]
-    for index in range(len(items)):
-        chunks[index % len(chunks)].append(index)
-    return chunks
-
-
-def _salvage_records(out_path: Path) -> Dict[int, TrialRecord]:
-    """Recover completed records from a worker's (possibly partial) output.
-
-    The worker writes JSON Lines — a schema header, then one
-    ``{"index": local_index, "record": {...}}`` line per completed trial,
-    flushed immediately — so a worker killed mid-chunk leaves a valid
-    prefix.  A truncated or garbled tail line (the worker died mid-write)
-    is skipped, as is the whole file when the header is missing or from a
-    different schema version.
-    """
-    try:
-        lines = out_path.read_text().splitlines()
-    except OSError:
-        return {}
-    if not lines:
-        return {}
-    try:
-        header = json.loads(lines[0])
-    except ValueError:
-        return {}
-    if not isinstance(header, dict) or header.get("schema") != WORKER_SCHEMA:
-        return {}
-    salvaged: Dict[int, TrialRecord] = {}
-    for line in lines[1:]:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            data = json.loads(line)
-            record = TrialRecord(**data["record"])
-            index = int(data["index"])
-        except (ValueError, KeyError, TypeError):
-            continue  # truncated/garbled tail: everything before it stands
-        salvaged[index] = record
-    return salvaged
-
-
-class SubprocessPoolBackend:
-    """Spawn one fresh worker process per chunk of the batch.
-
-    Unlike ``process``, workers share nothing with the parent but a JSON
-    file pair, so the same protocol can dispatch chunks to remote machines.
-    The price is a cold interpreter start per chunk, which amortises over
-    chunk size — exactly the trade a multi-machine pool makes.
-
-    Worker loss is tolerated, not fatal: each worker streams completed
-    records (JSON Lines, flushed per trial), so when one crashes or hangs
-    the parent salvages its finished prefix, kills it if needed, and
-    re-runs only the missing trials in up to ``max_retries`` further waves.
-    Because trials are deterministic in their work items, the assembled
-    result is bit-identical to a run without failures.
-
-    Args:
-        workers: worker-count hint (``None`` sizes to the batch, capped at
-            the CPU count).
-        max_retries: retry waves for missing trials after the initial wave;
-            only when a wave ends with trials still missing *and* the
-            budget is spent does the sweep fail.
-        chunk_timeout_s: wall-clock budget per worker process; a worker
-            still running after it is presumed hung and killed (its
-            completed prefix is salvaged).  ``None`` waits forever.
-    """
-
-    name = "subprocess-pool"
-
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        max_retries: int = DEFAULT_MAX_RETRIES,
-        chunk_timeout_s: Optional[float] = None,
-    ):
-        if max_retries < 0:
-            raise ExperimentError("max_retries must be >= 0")
-        if chunk_timeout_s is not None and chunk_timeout_s <= 0:
-            raise ExperimentError("chunk_timeout_s must be positive (or None)")
-        self.workers = workers
-        self.max_retries = max_retries
-        self.chunk_timeout_s = chunk_timeout_s
-
-    def submit(self, item: WorkItem) -> TrialRecord:
-        return self.map_trials([item])[0]
-
-    def map_trials(self, items: Sequence[WorkItem]) -> List[TrialRecord]:
-        if not items:
-            return []
-        records: Dict[int, TrialRecord] = {}
-        missing = list(range(len(items)))
-        failures: List[str] = []
-        for wave in range(self.max_retries + 1):
-            failures = self._run_wave(items, missing, records, wave)
-            for failure in failures:
-                logger.info("subprocess-pool: %s", failure)
-            missing = [i for i in range(len(items)) if i not in records]
-            if not missing:
-                break
-        if missing:
-            detail = "; ".join(failures[:4]) if failures else "no worker output"
-            raise ExperimentError(
-                f"subprocess-pool gave up on {len(missing)} trial(s) after "
-                f"{self.max_retries + 1} wave(s): {detail}"
-            )
-        return [records[i] for i in range(len(items))]
-
-    def _run_wave(
-        self,
-        items: Sequence[WorkItem],
-        missing: Sequence[int],
-        records: Dict[int, TrialRecord],
-        wave: int,
-    ) -> List[str]:
-        """Run one wave of workers over the missing items.
-
-        Salvages whatever each worker completed into ``records`` and
-        returns the failure descriptions of workers that died, hung, or
-        returned short — the caller decides whether another wave runs.
-        """
-        chunks = _split_chunks(missing, _resolve_workers(self.workers, len(missing)))
-        failures: List[str] = []
-        with tempfile.TemporaryDirectory(prefix="repro-subproc-") as tmp:
-            env = _worker_env()
-            procs: List[subprocess.Popen] = []
-            out_paths: List[Path] = []
-            for chunk_no, local_indices in enumerate(chunks):
-                in_path = Path(tmp) / f"wave{wave}.chunk{chunk_no}.in.json"
-                out_path = Path(tmp) / f"wave{wave}.chunk{chunk_no}.out.jsonl"
-                in_path.write_text(
-                    json.dumps(
-                        {
-                            "schema": WORKER_SCHEMA,
-                            "items": [
-                                items[missing[i]].to_json_dict()
-                                for i in local_indices
-                            ],
-                        }
-                    )
-                )
-                procs.append(
-                    subprocess.Popen(
-                        [
-                            sys.executable, "-m", "repro.experiments.backends",
-                            str(in_path), str(out_path),
-                        ],
-                        env=env,
-                        stdout=subprocess.PIPE,
-                        stderr=subprocess.PIPE,
-                        text=True,
-                    )
-                )
-                out_paths.append(out_path)
-            # Reap every worker before judging any of them: raising early
-            # would orphan still-running siblings and delete the tempdir
-            # from under them.  A worker that outlives its chunk budget is
-            # presumed hung: kill it and salvage what it finished.
-            outcomes: List[str] = []
-            for proc in procs:
-                try:
-                    _, stderr = proc.communicate(timeout=self.chunk_timeout_s)
-                    outcomes.append(
-                        "ok" if proc.returncode == 0
-                        else f"exited with status {proc.returncode}: "
-                             f"{(stderr or '').strip()[-500:]}"
-                    )
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-                    proc.communicate()
-                    outcomes.append(
-                        f"hung past the {self.chunk_timeout_s:.0f}s chunk "
-                        "timeout and was killed"
-                    )
-            for chunk_no, local_indices in enumerate(chunks):
-                salvaged = _salvage_records(out_paths[chunk_no])
-                for local, record in salvaged.items():
-                    if 0 <= local < len(local_indices):
-                        records[missing[local_indices[local]]] = record
-                short = len(salvaged) < len(local_indices)
-                if outcomes[chunk_no] != "ok" or short:
-                    failures.append(
-                        f"wave {wave} worker {chunk_no} "
-                        f"({len(salvaged)}/{len(local_indices)} trial(s) "
-                        f"salvaged): {outcomes[chunk_no]}"
-                    )
-        return failures
+        return [item.run() for item in items]
 
 
 # ---------------------------------------------------------------------------
@@ -571,8 +300,7 @@ class RemoteBackend:
     processes, so ``--backend remote`` works out of the box and tests need
     no ssh.
 
-    Fault model (the subprocess pool's semantics carried across machine
-    boundaries):
+    Fault model:
 
     * each chunk is a *lease* with a heartbeat deadline: a worker that
       streams no record for ``heartbeat_timeout_s`` is probed via
@@ -638,35 +366,36 @@ class RemoteBackend:
     def map_trials(self, items: Sequence[WorkItem]) -> List[TrialRecord]:
         if not items:
             return []
-        # Imported here, not at module level: worker.py imports this module
-        # for the shared wire schema and chaos hook.
-        from repro.experiments import worker as worker_mod
+        # Imported here, not at module level: the package imports this
+        # module, so a module-level import would load the worker before
+        # ``python -m repro.experiments.worker`` runs it, and runpy warns
+        # about (and re-executes) the doubly imported module.
+        from repro.experiments.worker import (
+            LocalWorkerPool,
+            WorkerClient,
+            launch_ssh_worker,
+            parse_endpoint,
+            spawn_local_workers,
+        )
 
-        pool: Optional[worker_mod.LocalWorkerPool] = None
+        pool: Optional[LocalWorkerPool] = None
         launched: List[subprocess.Popen] = []
         try:
-            clients: List[worker_mod.WorkerClient] = []
+            clients: List[WorkerClient] = []
             if self.endpoints:
                 for spec in self.endpoints:
-                    endpoint = worker_mod.parse_endpoint(spec)
+                    endpoint = parse_endpoint(spec)
                     if endpoint.scheme == "ssh":
                         launched.append(
-                            worker_mod.launch_ssh_worker(
-                                endpoint, cache_dir=self.store_root
-                            )
+                            launch_ssh_worker(endpoint, cache_dir=self.store_root)
                         )
-                    clients.append(
-                        worker_mod.WorkerClient(endpoint.host, endpoint.port)
-                    )
+                    clients.append(WorkerClient(endpoint.host, endpoint.port))
             else:
-                pool = worker_mod.spawn_local_workers(
+                pool = spawn_local_workers(
                     _resolve_workers(self.workers, len(items)),
                     cache_dir=self.store_root,
                 )
-                clients = [
-                    worker_mod.WorkerClient(host, port)
-                    for host, port in pool.addresses
-                ]
+                clients = [WorkerClient(host, port) for host, port in pool.addresses]
             return self._run(items, clients)
         finally:
             if pool is not None:
@@ -873,6 +602,8 @@ class RemoteBackend:
         lease_seq,
         duplicate_of: Optional[str] = None,
     ) -> _Lease:
+        from repro.experiments.worker import WORKER_SCHEMA
+
         lease = _Lease(f"lease-{next(lease_seq)}", worker, indices)
         lease.duplicate_of = duplicate_of
         stats["leases"] += 1
@@ -1071,129 +802,19 @@ class RemoteBackend:
             return {}
 
 
-def worker_main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point of one subprocess-pool worker.
-
-    ``python -m repro.experiments.backends IN.json OUT.jsonl`` reads a chunk
-    of work items from ``IN.json``, runs them inline, and streams records to
-    ``OUT.jsonl`` as JSON Lines — a schema header line, then one
-    ``{"index": local_index, "record": {...}}`` line per completed trial,
-    flushed immediately so the parent can salvage a dead worker's prefix.
-    """
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if len(argv) != 2:
-        print(
-            "usage: python -m repro.experiments.backends IN.json OUT.jsonl",
-            file=sys.stderr,
-        )
-        return 2
-    in_path, out_path = Path(argv[0]), Path(argv[1])
-    payload = json.loads(in_path.read_text())
-    if payload.get("schema") != WORKER_SCHEMA:
-        print(f"unexpected work-item schema {payload.get('schema')!r}", file=sys.stderr)
-        return 2
-    items = [WorkItem.from_json_dict(data) for data in payload["items"]]
-    chaos_mode = _arm_chaos()
-    with open(out_path, "w") as out:
-        out.write(json.dumps({"schema": WORKER_SCHEMA}) + "\n")
-        out.flush()
-        for local_index, item in enumerate(items):
-            record = execute_work_item(item)
-            out.write(
-                json.dumps({"index": local_index, "record": asdict(record)})
-                + "\n"
-            )
-            out.flush()
-            if chaos_mode == "crash":
-                os._exit(CHAOS_EXIT_STATUS)
-            elif chaos_mode == "hang":
-                time.sleep(3600)
-            elif chaos_mode == "slow":
-                time.sleep(CHAOS_SLOW_S)
-    return 0
-
-
-def _arm_chaos() -> Optional[str]:
-    """Decide whether *this* worker (or lease) misbehaves (see chaos env docs).
-
-    Each marker file is created atomically, so across however many workers
-    share the chaos dir exactly one arms itself *per configured mode* —
-    ``crash,hang`` breaks two distinct workers; the rest (and every
-    retry-wave worker) run clean.  The first mode keeps the historical
-    marker name ``chaos-fired`` so callers can assert it fired.
-    """
-    chaos_dir = os.environ.get(CHAOS_DIR_ENV)
-    spec = os.environ.get(CHAOS_MODE_ENV) or ""
-    modes = [mode.strip() for mode in spec.split(",") if mode.strip()]
-    if not chaos_dir or not modes or any(m not in _CHAOS_MODES for m in modes):
-        return None
-    for k, mode in enumerate(modes):
-        marker = "chaos-fired" if k == 0 else f"chaos-fired-{k}"
-        try:
-            fd = os.open(
-                os.path.join(chaos_dir, marker),
-                os.O_CREAT | os.O_EXCL | os.O_WRONLY,
-            )
-            os.close(fd)
-        except (FileExistsError, OSError):
-            continue
-        return mode
-    return None
-
-
 # ---------------------------------------------------------------------------
 # registry entries
 # ---------------------------------------------------------------------------
 register_backend(
     BackendSpec(
         name="inline",
-        description="Run every trial in the current process (deterministic default).",
+        description=(
+            "Run every trial in the current process (the deterministic "
+            "reference; the default for one worker)."
+        ),
         factory=lambda workers, options: (
             _reject_options("inline", options), InlineBackend()
         )[1],
-    )
-)
-register_backend(
-    BackendSpec(
-        name="process",
-        description="Fan trials out over a local ProcessPoolExecutor.",
-        factory=lambda workers, options: (
-            _reject_options("process", options), ProcessPoolBackend(workers=workers)
-        )[1],
-    )
-)
-
-
-def _make_subprocess_pool(
-    workers: Optional[int], options: Mapping[str, object]
-) -> SubprocessPoolBackend:
-    known = {"max_retries", "chunk_timeout_s"}
-    unknown = set(options) - known
-    if unknown:
-        raise ExperimentError(
-            f"backend 'subprocess-pool' got unknown option(s) {sorted(unknown)}; "
-            f"known: {sorted(known)}"
-        )
-    try:
-        max_retries = int(options.get("max_retries", DEFAULT_MAX_RETRIES))
-        timeout = options.get("chunk_timeout_s")
-        chunk_timeout_s = None if timeout is None else float(timeout)
-    except (TypeError, ValueError) as exc:
-        raise ExperimentError(f"bad subprocess-pool option: {exc}") from exc
-    return SubprocessPoolBackend(
-        workers=workers, max_retries=max_retries, chunk_timeout_s=chunk_timeout_s
-    )
-
-
-register_backend(
-    BackendSpec(
-        name="subprocess-pool",
-        description=(
-            "Spawn a fresh worker process per chunk, exchanging JSON; "
-            "salvages and retries work from crashed or hung workers "
-            "(the stepping stone to multi-machine pools)."
-        ),
-        factory=_make_subprocess_pool,
     )
 )
 
@@ -1242,7 +863,8 @@ register_backend(
         name="remote",
         description=(
             "Lease chunks to long-running HTTP workers (localhost pool by "
-            "default, http:// or ssh:// endpoints for other machines); "
+            "default, http:// or ssh:// endpoints for other machines; the "
+            "default for more than one worker); "
             "heartbeat-monitored leases salvage and retry work from dead, "
             "hung, or straggling workers, all writing one shared store."
         ),
@@ -1250,6 +872,3 @@ register_backend(
     )
 )
 
-
-if __name__ == "__main__":
-    sys.exit(worker_main())

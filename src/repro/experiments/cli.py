@@ -86,12 +86,14 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         help=f"comma-separated placer names (default: {','.join(DEFAULT_PLACERS)})",
     )
     run_cmd.add_argument("--trials", type=int, default=3)
+    # No argparse ``choices``: the config rejects unknown names itself, and
+    # names a removed backend's replacement instead of "invalid choice".
     run_cmd.add_argument(
-        "--backend", default=None, choices=backend_names(), metavar="NAME",
+        "--backend", default=None, metavar="NAME",
         help=(
             "execution backend "
             f"({', '.join(backend_names())}; default: inline for --jobs 1, "
-            "process otherwise)"
+            "remote otherwise)"
         ),
     )
     run_cmd.add_argument(
@@ -116,15 +118,8 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     run_cmd.add_argument(
         "--max-retries", type=int, default=2, metavar="N",
         help=(
-            "subprocess-pool only: retry waves for trials whose worker "
+            "remote backend: retry waves for trials whose worker "
             "died (default: 2)"
-        ),
-    )
-    run_cmd.add_argument(
-        "--chunk-timeout-s", type=float, default=None, metavar="SECONDS",
-        help=(
-            "subprocess-pool only: kill workers that outlive this budget "
-            "and salvage their finished trials (default: wait forever)"
         ),
     )
     run_cmd.add_argument(
@@ -148,10 +143,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         "--stats", action="store_true",
         help="print the full telemetry snapshot (obs.metrics: store, "
         "allocator, fluid, measurement, fabric counters) after the run",
-    )
-    run_cmd.add_argument(
-        "--cache-stats", action="store_true",
-        help="deprecated alias for --stats",
     )
     run_cmd.set_defaults(handler=_cmd_run)
 
@@ -227,7 +218,6 @@ def _make_config(
     placer_param_items: Optional[Sequence[str]] = None,
     fail_fast: bool = False,
     max_retries: int = 2,
-    chunk_timeout_s: Optional[float] = None,
     endpoints: Sequence[str] = (),
     heartbeat_timeout_s: Optional[float] = None,
 ) -> ExperimentConfig:
@@ -262,7 +252,6 @@ def _make_config(
         placer_params=_parse_placer_params(placer_param_items),
         fail_fast=fail_fast,
         max_retries=max_retries,
-        chunk_timeout_s=chunk_timeout_s,
         endpoints=tuple(endpoints),
         heartbeat_timeout_s=heartbeat_timeout_s,
     )
@@ -291,11 +280,6 @@ def _print_run_summary(result: ExperimentResult) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     scenarios = _resolve_scenarios(args.scenario)
-    show_stats = args.stats or args.cache_stats
-    if args.cache_stats:
-        print(
-            "note: --cache-stats is deprecated; use --stats", file=sys.stderr
-        )
     config = _make_config(
         scenarios, args.placers, args.trials, args.seed, args.jobs,
         args.baseline, args.param,
@@ -304,7 +288,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         placer_param_items=args.placer_param,
         fail_fast=args.fail_fast,
         max_retries=args.max_retries,
-        chunk_timeout_s=args.chunk_timeout_s,
         endpoints=args.endpoint,
         heartbeat_timeout_s=args.heartbeat_timeout_s,
     )
@@ -319,7 +302,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if config.cache_dir:
         line += f", {stats.cache_hits} cache hit(s) from {config.cache_dir}"
     print(line)
-    if show_stats:
+    if args.stats:
         if runner.store is not None:
             counters = runner.store.stats
             print(

@@ -2,8 +2,8 @@
 
 The runner owns *what* to run — the scenario x placer x trial grid — and
 delegates *how* to run it to a named
-:class:`~repro.experiments.backends.ExecutionBackend` (``inline``,
-``process``, ``subprocess-pool``, ...).  Before dispatching, it consults an
+:class:`~repro.experiments.backends.ExecutionBackend` (``inline`` or
+``remote``).  Before dispatching, it consults an
 optional persistent :class:`~repro.experiments.cache.ResultStore`, so
 re-running a grown grid only executes cells that are new (or whose code
 changed).  Trial execution itself lives in :mod:`repro.experiments.trials`.
@@ -19,11 +19,7 @@ import logging
 
 from repro import obs
 from repro.errors import ExperimentError
-from repro.experiments.backends import (
-    DEFAULT_BACKEND,
-    create_backend,
-    get_backend,
-)
+from repro.experiments.backends import create_backend, get_backend
 from repro.experiments.cache import ResultStore
 from repro.experiments.placers import resolve_placer
 from repro.experiments.results import ExperimentResult, TrialRecord
@@ -51,8 +47,8 @@ class ExperimentConfig:
         workers: worker-count hint for the backend; ``None`` sizes the pool
             to the grid (capped at the CPU count).
         backend: registered execution-backend name; ``None`` picks
-            ``inline`` for ``workers == 1`` and ``process`` otherwise,
-            preserving the pre-backend behaviour.
+            ``inline`` for ``workers == 1`` and ``remote`` (its self-spawned
+            localhost pool) otherwise.
         cache_dir: directory of a persistent
             :class:`~repro.experiments.cache.ResultStore`; ``None`` disables
             the cross-run cache (within-run memoization always applies).
@@ -62,12 +58,9 @@ class ExperimentConfig:
             validated by the placer's factory.
         fail_fast: abort the sweep on the first raising trial instead of
             capturing it into the record (keep-going is the default).
-        max_retries: retry waves the ``subprocess-pool`` and ``remote``
-            backends run for trials whose worker died (ignored by
-            in-process backends, which cannot lose workers).
-        chunk_timeout_s: per-worker wall-clock budget of the
-            ``subprocess-pool`` backend; hung workers are killed and their
-            finished trials salvaged.  Only valid with that backend.
+        max_retries: retry waves the ``remote`` backend runs for trials
+            whose worker died (ignored by ``inline``, which cannot lose
+            workers).
         endpoints: worker endpoints of the ``remote`` backend
             (``http://host:port`` for running workers, ``ssh://host:port``
             to launch them); empty, the backend spawns a localhost pool of
@@ -94,7 +87,6 @@ class ExperimentConfig:
     placer_params: Mapping[str, Mapping[str, object]] = field(default_factory=dict)
     fail_fast: bool = False
     max_retries: int = 2
-    chunk_timeout_s: Optional[float] = None
     endpoints: Tuple[str, ...] = ()
     heartbeat_timeout_s: Optional[float] = None
 
@@ -109,14 +101,6 @@ class ExperimentConfig:
             get_backend(self.backend)  # fail fast on typos
         if self.max_retries < 0:
             raise ExperimentError("max_retries must be >= 0")
-        if self.chunk_timeout_s is not None:
-            if self.chunk_timeout_s <= 0:
-                raise ExperimentError("chunk_timeout_s must be positive (or None)")
-            if self.effective_backend != "subprocess-pool":
-                raise ExperimentError(
-                    "chunk_timeout_s only applies to the subprocess-pool "
-                    f"backend, not {self.effective_backend!r}"
-                )
         if self.heartbeat_timeout_s is not None:
             if self.heartbeat_timeout_s <= 0:
                 raise ExperimentError(
@@ -184,8 +168,8 @@ class ExperimentConfig:
     ) -> None:
         for key, value in params.items():
             # JSON scalars only: anything richer would round-trip
-            # differently through the subprocess wire format (tuple ->
-            # list) and break the backends' bit-identical guarantee.
+            # differently through the worker wire format (tuple -> list)
+            # and break the backends' bit-identical guarantee.
             if not isinstance(value, (type(None), bool, int, float, str)):
                 raise ExperimentError(
                     f"{group}[{name!r}][{key!r}] is "
@@ -203,28 +187,23 @@ class ExperimentConfig:
 
     @property
     def effective_backend(self) -> str:
-        """The backend name after applying the historical default."""
+        """The backend name after applying the worker-count default."""
         if self.backend is not None:
             return self.backend
-        return DEFAULT_BACKEND if self.workers == 1 else "process"
+        return "inline" if self.workers == 1 else "remote"
 
     @property
     def backend_options(self) -> Dict[str, object]:
         """Backend-specific options derived from the config.
 
-        The ``subprocess-pool`` and ``remote`` backends take options; the
-        in-process backends reject any, so this stays empty for them.  The
-        remote backend's backoff jitter is seeded from ``base_seed``, so a
-        sweep that loses workers retries on the same schedule every run,
-        and its workers share the runner's store via ``store_root``.
+        Only the ``remote`` backend takes options; ``inline`` rejects any,
+        so this stays empty for it.  The remote backend's backoff jitter is
+        seeded from ``base_seed``, so a sweep that loses workers retries on
+        the same schedule every run, and its workers share the runner's
+        store via ``store_root``.
         """
-        if self.effective_backend == "subprocess-pool":
-            options: Dict[str, object] = {"max_retries": self.max_retries}
-            if self.chunk_timeout_s is not None:
-                options["chunk_timeout_s"] = self.chunk_timeout_s
-            return options
         if self.effective_backend == "remote":
-            options = {
+            options: Dict[str, object] = {
                 "max_retries": self.max_retries,
                 "backoff_seed": self.base_seed,
             }
@@ -347,8 +326,12 @@ class ExperimentRunner:
             pending: List[Tuple[Tuple, WorkItem]] = []
             for key, cell in unique.items():
                 item = self._work_item(*cell)
+                # ``is not None``, not truthiness: ``bool(store)`` would call
+                # ``ResultStore.__len__``, which globs the whole store.
                 cached = (
-                    self.store.get(self._store_key(item)) if self.store else None
+                    self.store.get(self._store_key(item))
+                    if self.store is not None
+                    else None
                 )
                 if cached is not None:
                     memo[key] = cached

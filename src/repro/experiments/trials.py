@@ -8,8 +8,8 @@ the placer — so every placer faces the *same* ground-truth network and
 applications and per-trial speedups are paired comparisons, as in §6.
 
 Everything a trial needs is named (scenario name, placer name, seed), which
-is what makes a :class:`WorkItem` picklable for process pools and
-JSON-serialisable for subprocess (and, eventually, multi-machine) backends.
+is what makes a :class:`WorkItem` JSON-serialisable for the remote
+fabric's workers, on this machine or others.
 """
 
 from __future__ import annotations
@@ -169,7 +169,7 @@ class WorkItem:
 
     # ------------------------------------------------------------ wire format
     def to_json_dict(self) -> dict:
-        """The subprocess-backend wire format (all params are plain JSON)."""
+        """The remote workers' wire format (all params are plain JSON)."""
         return {
             "scenario": self.scenario,
             "placer": self.placer,
@@ -194,11 +194,6 @@ class WorkItem:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ExperimentError(f"malformed work item: {exc}") from exc
-
-
-def execute_work_item(item: WorkItem) -> TrialRecord:
-    """Module-level alias of :meth:`WorkItem.run` (picklable for pools)."""
-    return item.run()
 
 
 def _measurement_plan() -> MeasurementPlan:

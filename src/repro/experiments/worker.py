@@ -2,9 +2,8 @@
 
 ``python -m repro.experiments.worker --serve --port N`` starts a thin HTTP
 server that executes chunk *leases* for the ``remote`` execution backend.
-It speaks the existing :data:`~repro.experiments.backends.WORKER_SCHEMA`
-JSONL wire format — the same lines a subprocess-pool worker writes to its
-output file, streamed over the lease connection instead:
+It speaks the :data:`WORKER_SCHEMA` JSON Lines wire format, streamed over
+the lease connection:
 
 * ``POST /lease`` — body ``{"schema": ..., "lease_id": ..., "items":
   [...]}``; the response streams JSON Lines: a schema header, then one
@@ -45,18 +44,18 @@ import time
 import urllib.parse
 from dataclasses import asdict, dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.errors import ExperimentError
-from repro.experiments.backends import (
-    CHAOS_EXIT_STATUS,
-    CHAOS_SLOW_S,
-    WORKER_SCHEMA,
-    _arm_chaos,
-)
 from repro.experiments.cache import ResultStore
-from repro.experiments.trials import WorkItem, execute_work_item
+from repro.experiments.trials import WorkItem
+
+#: Wire-format schema of the lease stream: a header line, then one
+#: ``{"index": local_index, "record": {...}}`` line per completed trial,
+#: flushed as produced, so a killed worker leaves a salvageable prefix.
+WORKER_SCHEMA = "repro.experiments/worker/v2"
 
 #: Port an ``ssh://`` endpoint's worker listens on when the spelling names
 #: none.  (HTTP endpoints on localhost pools always carry explicit ports.)
@@ -285,16 +284,8 @@ class _LeaseHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _stream_lease(self, lease_id: str, items: Sequence[WorkItem]) -> None:
-        """Execute the leased chunk, streaming one flushed line per trial.
-
-        The chaos hook (same env contract as the subprocess pool) fires
-        here, per lease: ``crash`` exits the whole process after the first
-        record (the scheduler sees the connection die mid-chunk), ``hang``
-        stops streaming without dying (the scheduler's heartbeat deadline
-        must catch it), ``slow`` drags every subsequent trial (straggler).
-        """
+        """Execute the leased chunk, streaming one flushed line per trial."""
         state = self.server.worker_state
-        chaos_mode = _arm_chaos()
         self.send_response(200)
         self.send_header("Content-Type", "application/jsonl")
         self.end_headers()
@@ -305,16 +296,10 @@ class _LeaseHandler(BaseHTTPRequestHandler):
             )
             completed = 0
             for local_index, item in enumerate(items):
-                record = execute_work_item(item)
+                record = item.run()
                 state.record_done(item, record)
                 self._send_line({"index": local_index, "record": asdict(record)})
                 completed += 1
-                if chaos_mode == "crash":
-                    os._exit(CHAOS_EXIT_STATUS)
-                elif chaos_mode == "hang":
-                    time.sleep(3600)
-                elif chaos_mode == "slow":
-                    time.sleep(CHAOS_SLOW_S)
             self._send_line({"done": True, "lease_id": lease_id, "completed": completed})
         except (BrokenPipeError, ConnectionResetError):
             pass  # the scheduler revoked the lease; stop burning its trials
@@ -351,8 +336,8 @@ class LeaseStream:
     :meth:`poll` hands back whatever complete JSON lines arrived within a
     short timeout, so the scheduler's reader loop can keep checking its
     cancel flag without losing bytes: partial lines stay buffered across
-    polls, and a garbled tail at connection end is skipped — exactly the
-    subprocess pool's salvage rule for a file cut off mid-write.
+    polls, and a garbled tail at connection end is skipped: everything
+    before it stands.
     """
 
     def __init__(self, conn: http.client.HTTPConnection, resp, sock):
@@ -537,6 +522,24 @@ class LocalWorkerPool:
         self.close()
 
 
+def _worker_env() -> Dict[str, str]:
+    """Child env with the parent's ``repro`` package importable.
+
+    Test runs import ``repro`` from a source checkout via ``sys.path`` (not
+    the environment), so the parent's import location is prepended to the
+    child's ``PYTHONPATH`` explicitly.
+    """
+    import repro
+
+    package_root = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    existing = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = (
+        package_root if not existing else package_root + os.pathsep + existing
+    )
+    return env
+
+
 def spawn_local_workers(
     n: int,
     cache_dir: Optional[str] = None,
@@ -549,8 +552,6 @@ def spawn_local_workers(
     """
     procs: List[subprocess.Popen] = []
     try:
-        from repro.experiments.backends import _worker_env
-
         env = _worker_env()
         for _ in range(max(1, n)):
             cmd = [

@@ -22,11 +22,13 @@ from repro.experiments import (
     run_trial,
     tree_digest,
 )
-from repro.experiments.backends import SubprocessPoolBackend, _split_chunks
+from repro.experiments.backends import RemoteBackend
 from repro.experiments.cache import CacheKey
 from repro.experiments.cli import main as cli_main
 
-ALL_BACKENDS = ("inline", "process", "remote", "subprocess-pool")
+from chaos_worker import spawn_chaos_workers
+
+ALL_BACKENDS = ("inline", "remote")
 
 
 def _small_config(**overrides):
@@ -43,10 +45,11 @@ def _small_config(**overrides):
 
 # ---------------------------------------------------------------- registry
 def test_backend_registry_lists_all_backends():
-    assert list(ALL_BACKENDS) == sorted(ALL_BACKENDS)
+    assert backend_names() == list(ALL_BACKENDS)
     for name in ALL_BACKENDS:
-        assert name in backend_names()
         assert get_backend(name).description
+    with pytest.raises(ExperimentError):
+        create_backend("inline", options={"max_retries": 1})
 
 
 def test_unknown_backend_rejected_eagerly():
@@ -54,11 +57,32 @@ def test_unknown_backend_rejected_eagerly():
         ExperimentConfig(scenarios=("smoke",), backend="carrier-pigeon")
 
 
+def test_removed_backends_fail_naming_their_replacement(tmp_path, capsys):
+    from repro.cli import main as repro_main
+
+    for name in ("process", "subprocess-pool"):
+        with pytest.raises(ExperimentError, match="removed.*'remote'.*'inline'"):
+            ExperimentConfig(scenarios=("smoke",), backend=name)
+        with pytest.raises(ExperimentError, match="'remote'"):
+            create_backend(name)
+
+    code = repro_main(
+        ["experiments", "run", "--scenario", "smoke", "--trials", "1",
+         "--backend", "process", "--output", str(tmp_path / "r.json")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "backend 'process' was removed" in err and "'remote'" in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_backend_default_preserves_historical_behaviour():
+    """One worker runs inline; more (or auto) go to the remote fabric."""
     assert _small_config(workers=1).effective_backend == "inline"
-    assert _small_config(workers=2).effective_backend == "process"
-    assert _small_config(workers=None).effective_backend == "process"
+    assert _small_config(workers=2).effective_backend == "remote"
+    assert _small_config(workers=None).effective_backend == "remote"
     assert _small_config(workers=4, backend="inline").effective_backend == "inline"
+    assert _small_config(workers=1).backend_options == {}
 
 
 # ------------------------------------------------------------- equivalence
@@ -67,7 +91,7 @@ def test_all_backends_produce_bit_identical_canonical_results():
     for name in ALL_BACKENDS:
         result = ExperimentRunner(_small_config(backend=name)).run()
         outputs[name] = json.dumps(result.canonical_json_dict(), sort_keys=True)
-    assert outputs["inline"] == outputs["process"] == outputs["subprocess-pool"]
+    assert outputs["inline"] == outputs["remote"]
 
 
 def test_backend_map_trials_preserves_input_order():
@@ -76,24 +100,16 @@ def test_backend_map_trials_preserves_input_order():
         for placer in ("random", "round-robin")
         for trial in (1, 0)
     ]
-    records = create_backend("subprocess-pool", workers=2).map_trials(items)
+    records = create_backend("remote", workers=2).map_trials(items)
     assert [(rec.placer, rec.trial) for rec in records] == [
         (item.placer, item.trial) for item in items
     ]
 
 
-def test_subprocess_chunking_covers_every_index_once():
-    items = [WorkItem.make("smoke", "random", t, 0) for t in range(7)]
-    chunks = _split_chunks(items, 3)
-    flat = sorted(i for chunk in chunks for i in chunk)
-    assert flat == list(range(7))
-    assert all(chunk for chunk in chunks)
-
-
 def test_subprocess_worker_failure_surfaces_as_experiment_error(monkeypatch):
     import sys
 
-    backend = SubprocessPoolBackend(workers=1)
+    backend = RemoteBackend(workers=1)
     monkeypatch.setattr(sys, "executable", "/nonexistent-python")
     with pytest.raises((ExperimentError, OSError)):
         backend.map_trials([WorkItem.make("smoke", "random", 0, 0)])
@@ -183,6 +199,32 @@ def test_code_version_is_stable_and_tracks_source_changes(tmp_path):
     assert tree_digest(tmp_path) == tree_digest(tmp_path)
 
 
+def test_store_lookup_never_globs_and_counts_cold_misses(tmp_path, monkeypatch):
+    """The runner tests the store with ``is not None``: truthiness would
+    call ``ResultStore.__len__`` (a glob of the whole store) once per
+    cell, and an empty store would be falsy, so cold sweeps skipped the
+    lookup and never counted their misses."""
+    len_calls = []
+    real_len = ResultStore.__len__
+    monkeypatch.setattr(
+        ResultStore, "__len__",
+        lambda self: len_calls.append(1) or real_len(self),
+    )
+    config = _small_config(workers=1, cache_dir=str(tmp_path))
+    cold = ExperimentRunner(config)
+    cold.run()
+    assert cold.store.stats["misses"] == 4  # one per unique cell
+    assert cold.store.stats["hits"] == 0
+
+    warm = ExperimentRunner(config)
+    warm.run()
+    assert warm.last_stats.cache_hits == 4
+    assert warm.store.stats == {
+        "hits": 4, "misses": 0, "stored": 0, "invalidated": 0,
+    }
+    assert len_calls == []
+
+
 def test_warm_run_executes_zero_trials_and_matches_cold(tmp_path):
     config = _small_config(workers=1, cache_dir=str(tmp_path))
     cold_runner = ExperimentRunner(config)
@@ -256,10 +298,10 @@ def test_cli_run_accepts_explicit_backend(tmp_path, capsys):
     out = tmp_path / "results.json"
     code = cli_main(
         ["run", "--scenario", "smoke", "--trials", "1", "--placers", "random",
-         "--backend", "subprocess-pool", "--workers", "2", "--output", str(out)]
+         "--backend", "remote", "--workers", "2", "--output", str(out)]
     )
     assert code == 0
-    assert "backend subprocess-pool" in capsys.readouterr().out
+    assert "backend remote" in capsys.readouterr().out
     assert json.loads(out.read_text())["records"]
 
 
@@ -353,75 +395,60 @@ def _chaos_items(n=6):
     return [WorkItem.make("smoke", "random", trial, 0) for trial in range(n)]
 
 
-def test_chaos_crashed_worker_is_salvaged_and_result_is_bit_identical(
-    tmp_path, monkeypatch
-):
+def _canonical(records):
+    return json.dumps(
+        [
+            {
+                k: v
+                for k, v in vars(rec).items()
+                if k not in ("trial_wall_s", "placement_wall_s")
+            }
+            for rec in records
+        ],
+        sort_keys=True,
+    )
+
+
+def test_chaos_crashed_worker_is_salvaged_and_result_is_bit_identical(tmp_path):
     items = _chaos_items()
     expected = create_backend("inline").map_trials(items)
 
-    monkeypatch.setenv("REPRO_WORKER_CHAOS_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_WORKER_CHAOS_MODE", "crash")
-    backend = SubprocessPoolBackend(workers=2, max_retries=2)
-    records = backend.map_trials(items)
-    assert (tmp_path / "chaos-fired").exists(), "chaos hook never armed"
-
-    def canonical(recs):
-        return json.dumps(
-            [
-                {
-                    k: v
-                    for k, v in vars(rec).items()
-                    if k not in ("trial_wall_s", "placement_wall_s")
-                }
-                for rec in recs
-            ],
-            sort_keys=True,
+    with spawn_chaos_workers(2, tmp_path, "crash") as pool:
+        backend = RemoteBackend(
+            endpoints=pool.endpoints, max_retries=2, backoff_base_s=0.05
         )
+        records = backend.map_trials(items)
+    assert (tmp_path / "chaos-fired").exists(), "chaos hook never armed"
+    assert _canonical(records) == _canonical(expected)
+    stats = backend.last_fabric_stats
+    assert stats["salvaged_records"] >= 1
+    assert stats["retried_trials"] < len(items), "salvage was thrown away"
 
-    assert canonical(records) == canonical(expected)
 
-
-def test_chaos_hung_worker_is_killed_and_work_retried(tmp_path, monkeypatch):
+def test_chaos_hung_worker_is_killed_and_work_retried(tmp_path):
+    """A lone worker hangs its lease: the heartbeat revokes it, and the
+    retry wave falls back to the same (tainted but alive) worker."""
     items = _chaos_items(2)
     expected = create_backend("inline").map_trials(items)
 
-    monkeypatch.setenv("REPRO_WORKER_CHAOS_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_WORKER_CHAOS_MODE", "hang")
-    backend = SubprocessPoolBackend(workers=1, max_retries=1, chunk_timeout_s=10.0)
-    records = backend.map_trials(items)
-    assert [rec.seed for rec in records] == [rec.seed for rec in expected]
-    assert [rec.total_running_time_s for rec in records] == [
-        rec.total_running_time_s for rec in expected
-    ]
+    with spawn_chaos_workers(1, tmp_path, "hang") as pool:
+        backend = RemoteBackend(
+            endpoints=pool.endpoints, max_retries=1,
+            heartbeat_timeout_s=2.0, backoff_base_s=0.05,
+        )
+        records = backend.map_trials(items)
+    assert (tmp_path / "chaos-fired").exists(), "chaos hook never armed"
+    assert _canonical(records) == _canonical(expected)
+    stats = backend.last_fabric_stats
+    assert stats["retry_waves"] == 1 and stats["salvaged_records"] == 1
+    assert any("hung" in failure for failure in stats["failures"])
 
 
-def test_chaos_crash_with_no_retry_budget_raises(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_WORKER_CHAOS_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_WORKER_CHAOS_MODE", "crash")
-    backend = SubprocessPoolBackend(workers=1, max_retries=0)
-    with pytest.raises(ExperimentError, match="gave up"):
-        backend.map_trials(_chaos_items(2))
-
-
-def test_subprocess_pool_rejects_bad_options():
-    with pytest.raises(ExperimentError):
-        create_backend("subprocess-pool", options={"bogus": 1})
-    with pytest.raises(ExperimentError):
-        create_backend("inline", options={"max_retries": 1})
-    with pytest.raises(ExperimentError):
-        SubprocessPoolBackend(max_retries=-1)
-    with pytest.raises(ExperimentError):
-        SubprocessPoolBackend(chunk_timeout_s=0.0)
-
-
-def test_config_threads_subprocess_pool_options():
-    config = _small_config(
-        backend="subprocess-pool", max_retries=4, chunk_timeout_s=30.0
-    )
-    assert config.backend_options == {"max_retries": 4, "chunk_timeout_s": 30.0}
-    assert _small_config(backend="inline", workers=1).backend_options == {}
-    with pytest.raises(ExperimentError):
-        _small_config(backend="inline", chunk_timeout_s=30.0)
+def test_chaos_crash_with_no_retry_budget_raises(tmp_path):
+    with spawn_chaos_workers(1, tmp_path, "crash") as pool:
+        backend = RemoteBackend(endpoints=pool.endpoints, max_retries=0)
+        with pytest.raises(ExperimentError, match="gave up"):
+            backend.map_trials(_chaos_items(2))
 
 
 # ------------------------------------------------------ keep-going trials

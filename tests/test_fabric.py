@@ -31,6 +31,8 @@ from repro.experiments.worker import (
     ssh_launch_command,
 )
 
+from chaos_worker import spawn_chaos_workers
+
 
 def _items(n=6, placer="random"):
     return [WorkItem.make("smoke", placer, trial, 0) for trial in range(n)]
@@ -190,9 +192,7 @@ def test_remote_backend_rejects_bad_options():
 
 
 # ------------------------------------------------------------------- chaos
-def test_chaos_crash_and_hang_workers_salvaged_and_bit_identical(
-    tmp_path, monkeypatch
-):
+def test_chaos_crash_and_hang_workers_salvaged_and_bit_identical(tmp_path):
     """The acceptance chaos drill: two workers, one killed mid-chunk, one
     hung past the heartbeat deadline.  The sweep must still equal the
     inline run bit-for-bit, and the streamed prefixes must be salvaged
@@ -204,14 +204,16 @@ def test_chaos_crash_and_hang_workers_salvaged_and_bit_identical(
     ]
     expected = create_backend("inline").map_trials(items)
 
-    monkeypatch.setenv("REPRO_WORKER_CHAOS_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_WORKER_CHAOS_MODE", "crash,hang")
-    backend = create_backend(
-        "remote",
-        workers=2,
-        options={"heartbeat_timeout_s": 2.0, "backoff_base_s": 0.05},
-    )
-    records = backend.map_trials(items)
+    with spawn_chaos_workers(2, tmp_path, "crash,hang") as pool:
+        backend = create_backend(
+            "remote",
+            options={
+                "endpoints": pool.endpoints,
+                "heartbeat_timeout_s": 2.0,
+                "backoff_base_s": 0.05,
+            },
+        )
+        records = backend.map_trials(items)
 
     assert (tmp_path / "chaos-fired").exists(), "crash chaos never armed"
     assert (tmp_path / "chaos-fired-1").exists(), "hang chaos never armed"
@@ -225,23 +227,25 @@ def test_chaos_crash_and_hang_workers_salvaged_and_bit_identical(
     assert any("died mid-chunk" in f or "hung" in f for f in stats["failures"])
 
 
-def test_chaos_retry_waves_are_deterministic(tmp_path, monkeypatch):
+def test_chaos_retry_waves_are_deterministic(tmp_path):
     """Same seed, same crash: the salvage-then-retry sweep is bit-identical
     across runs, down to the backoff schedule."""
     items = _items(6)
-    monkeypatch.setenv("REPRO_WORKER_CHAOS_MODE", "crash")
 
     outputs = []
     for run in ("a", "b"):
         chaos_dir = tmp_path / run
         chaos_dir.mkdir()
-        monkeypatch.setenv("REPRO_WORKER_CHAOS_DIR", str(chaos_dir))
-        backend = create_backend(
-            "remote",
-            workers=2,
-            options={"backoff_seed": 7, "backoff_base_s": 0.05},
-        )
-        records = backend.map_trials(items)
+        with spawn_chaos_workers(2, chaos_dir, "crash") as pool:
+            backend = create_backend(
+                "remote",
+                options={
+                    "endpoints": pool.endpoints,
+                    "backoff_seed": 7,
+                    "backoff_base_s": 0.05,
+                },
+            )
+            records = backend.map_trials(items)
         assert (chaos_dir / "chaos-fired").exists()
         outputs.append(
             (_canonical(records), backend.last_fabric_stats["backoff_delays_s"])
@@ -250,21 +254,23 @@ def test_chaos_retry_waves_are_deterministic(tmp_path, monkeypatch):
     assert outputs[0][1] == outputs[1][1] != []
 
 
-def test_chaos_straggler_is_redispatched_to_idle_worker(tmp_path, monkeypatch):
+def test_chaos_straggler_is_redispatched_to_idle_worker(tmp_path):
     """A worker that slows to a crawl (but keeps streaming) gets its
     remaining trials re-dispatched to an idle worker; whichever copy of a
     trial lands first wins and duplicates are discarded."""
     items = _items(10)
     expected = create_backend("inline").map_trials(items)
 
-    monkeypatch.setenv("REPRO_WORKER_CHAOS_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_WORKER_CHAOS_MODE", "slow")
-    backend = create_backend(
-        "remote",
-        workers=2,
-        options={"heartbeat_timeout_s": 30.0, "straggler_factor": 1.5},
-    )
-    records = backend.map_trials(items)
+    with spawn_chaos_workers(2, tmp_path, "slow") as pool:
+        backend = create_backend(
+            "remote",
+            options={
+                "endpoints": pool.endpoints,
+                "heartbeat_timeout_s": 30.0,
+                "straggler_factor": 1.5,
+            },
+        )
+        records = backend.map_trials(items)
     assert (tmp_path / "chaos-fired").exists(), "slow chaos never armed"
     assert _canonical(records) == _canonical(expected)
     stats = backend.last_fabric_stats
@@ -272,14 +278,13 @@ def test_chaos_straggler_is_redispatched_to_idle_worker(tmp_path, monkeypatch):
     assert stats["retry_waves"] == 0, "straggling is not a retry wave"
 
 
-def test_chaos_crash_with_no_retry_budget_raises(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_WORKER_CHAOS_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_WORKER_CHAOS_MODE", "crash")
-    backend = create_backend(
-        "remote", workers=1, options={"max_retries": 0}
-    )
-    with pytest.raises(ExperimentError, match="gave up"):
-        backend.map_trials(_items(2))
+def test_chaos_crash_with_no_retry_budget_raises(tmp_path):
+    with spawn_chaos_workers(1, tmp_path, "crash") as pool:
+        backend = create_backend(
+            "remote", options={"endpoints": pool.endpoints, "max_retries": 0}
+        )
+        with pytest.raises(ExperimentError, match="gave up"):
+            backend.map_trials(_items(2))
 
 
 # ----------------------------------------------------- config / runner wiring
@@ -313,7 +318,7 @@ def test_config_rejects_remote_knobs_on_other_backends():
     with pytest.raises(ExperimentError):
         ExperimentConfig(
             scenarios=("smoke",), placers=("random",), trials=1,
-            backend="process", heartbeat_timeout_s=5.0,
+            backend="inline", heartbeat_timeout_s=5.0,
         )
     with pytest.raises(ExperimentError):
         ExperimentConfig(

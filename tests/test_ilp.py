@@ -345,7 +345,7 @@ def test_ilp_canonical_results_identical_across_backends():
         return ExperimentRunner(config).run().canonical_json_dict()
 
     inline = run("inline", 1)
-    pooled = run("subprocess-pool", 2)
+    pooled = run("remote", 2)
     assert json.dumps(inline, sort_keys=True) == json.dumps(pooled, sort_keys=True)
 
 
@@ -375,12 +375,12 @@ def test_cli_cache_stats_flag(tmp_path, capsys):
     args = [
         "run", "--scenario", "smoke", "--trials", "1",
         "--placers", "greedy", "--cache-dir", str(store),
-        "--cache-stats", "--output", str(out),
+        "--stats", "--output", str(out),
     ]
     assert cli_main(args) == 0
     cold = capsys.readouterr().out
     assert "executed 2 trial(s)" in cold
-    assert "store stats: hits=0" in cold and "stored=2" in cold
+    assert "store stats: hits=0 misses=2" in cold and "stored=2" in cold
 
     assert cli_main(args) == 0
     warm = capsys.readouterr().out
@@ -388,17 +388,16 @@ def test_cli_cache_stats_flag(tmp_path, capsys):
     assert "executed 0 trial(s)" in warm
     assert "store stats: hits=2" in warm
 
-    # --cache-stats is now a deprecated alias for --stats, so it works
-    # without a store too: no store line, telemetry snapshot only.
+    # --stats works without a store too: no store line, telemetry
+    # snapshot only.
     assert (
         cli_main(
             ["run", "--scenario", "smoke", "--trials", "1",
-             "--placers", "greedy", "--cache-stats", "--output", str(out)]
+             "--placers", "greedy", "--stats", "--output", str(out)]
         )
         == 0
     )
     captured = capsys.readouterr()
-    assert "note: --cache-stats is deprecated" in captured.err
     assert "store stats:" not in captured.out
     assert "telemetry snapshot:" in captured.out
 

@@ -22,7 +22,7 @@ from repro.experiments import (
 )
 from repro.experiments.cli import main as experiments_main
 from repro.experiments.results import HOST_TIMING_FIELDS
-from repro.experiments.worker import WorkerClient, spawn_local_workers
+from repro.experiments.worker import WorkerClient
 from repro.obs.report import (
     TraceError,
     build_profile,
@@ -30,6 +30,8 @@ from repro.obs.report import (
     render_diff,
     render_report,
 )
+
+from chaos_worker import spawn_chaos_workers
 
 
 @pytest.fixture
@@ -208,16 +210,12 @@ def _get(host, port, path):
         conn.close()
 
 
-def test_worker_metrics_exposition_and_health_stay_fresh_mid_lease(
-    tmp_path, monkeypatch
-):
+def test_worker_metrics_exposition_and_health_stay_fresh_mid_lease(tmp_path):
     """A chaos-slowed worker streams a lease for seconds; ``/health`` and
     ``/metrics`` (answered from fresh threads) must respond mid-lease and
     show the chunk advancing."""
-    monkeypatch.setenv("REPRO_WORKER_CHAOS_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_WORKER_CHAOS_MODE", "slow")
     items = [WorkItem.make("smoke", "random", t, 0) for t in range(4)]
-    with spawn_local_workers(1) as pool:
+    with spawn_chaos_workers(1, tmp_path, "slow") as pool:
         host, port = pool.addresses[0]
         client = WorkerClient(host, port)
         stream = client.open_lease("t-obs", [i.to_json_dict() for i in items])
@@ -331,15 +329,6 @@ def test_stats_flag_prints_snapshot_and_cache_stats_is_alias(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "telemetry snapshot:" in captured.out
     assert "repro.sweep.runs" in captured.out
-
-    rc = experiments_main(
-        ["run", "--scenario", "smoke", "--trials", "1",
-         "--placers", "random", "--output", str(out_path), "--cache-stats"]
-    )
-    assert rc == 0
-    captured = capsys.readouterr()
-    assert "telemetry snapshot:" in captured.out  # alias reaches --stats
-    assert "deprecated" in captured.err
 
 
 # -------------------------------------------------- service telemetry block
